@@ -17,6 +17,7 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from seiznet import __version__
 from seiznet.aggregation import (
@@ -56,12 +57,15 @@ from seiznet.render import (
     spectra_csv,
     timeline_csv,
 )
-from seiznet.store import ingest_manifest, load_store, records_by_patient, save_store
+from seiznet.store import ingest_manifest, load_store, save_store
 
 log = logging.getLogger(__name__)
 
 OUT_ROOT_ENV = "SEIZNET_OUT_ROOT"
 VALIDATION_SAMPLE_FRACTION = 0.1
+# Thread counts that change BLAS summation order, and with it the last
+# bits of trained weights; recorded in every run_config.json.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _resolve_out(path: str) -> str:
@@ -77,9 +81,19 @@ def _write_run_config(out_dir: str, command: str, args: argparse.Namespace) -> N
         for k, v in vars(args).items()
         if k not in ("handler", "command") and not k.startswith("_")
     }
+    environment = {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
     atomic_write_json(
         os.path.join(out_dir, "run_config.json"),
-        {"command": command, "version": __version__, "args": payload},
+        {
+            "command": command,
+            "version": __version__,
+            "args": payload,
+            "environment": environment,
+        },
     )
 
 

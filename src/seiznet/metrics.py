@@ -98,6 +98,13 @@ def _check_inputs(labels: np.ndarray, probs: np.ndarray) -> None:
         raise ValueError(
             f"labels shape {labels.shape} != probs shape {probs.shape}"
         )
+    _check_probs(probs)
+
+
+def _check_probs(probs: np.ndarray) -> None:
+    # min/max comparisons are False for NaN, so finiteness comes first
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite, got NaN or inf")
     if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
         raise ValueError("probabilities outside [0, 1]")
 
@@ -156,8 +163,7 @@ def prob_histogram(
     every probability lands in exactly one bin.
     """
     probs = np.asarray(probs)
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-        raise ValueError("probabilities outside [0, 1]")
+    _check_probs(probs)
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     counts, _ = np.histogram(probs, bins=edges)
     return counts, edges

@@ -189,10 +189,6 @@ class TrainedModel:
             out[lo : lo + probs.shape[0]] = probs[:, 0]
         return out
 
-    def predict(self, segment: Segment) -> float:
-        x = segment.data[None, :, :, None]
-        return float(self.forward(x, train=False)[0, 0])
-
 
 def build(config: ModelConfig) -> TrainedModel:
     """Construct a freshly initialized network from its configuration.

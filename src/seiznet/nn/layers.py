@@ -12,9 +12,15 @@ shared by gradient backprop and multiplier propagation.
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+# Conv kernels with at least this many time taps run as FFT convolution.
+# At batch 1, where streaming, maximization and attribution run, the FFT
+# path catches up with the direct one between 47 and 63 taps on the
+# filter shapes of the desk and full profiles; README has the figures.
+FFT_MIN_KT = 64
 
 
 def he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -51,10 +57,20 @@ class Layer:
 class Conv(Layer):
     """2D cross-correlation over (time, channel) with same zero padding.
 
-    Kernel shape is (kt, kc, f_in, f_out), stride fixed at 1x1.  Both
-    passes run as a single matrix product: the input is unfolded over
-    time taps (im2col) while the narrow channel axis is folded into a
-    block-banded kernel matrix, so channel mixing costs no gather.
+    Kernel shape is (kt, kc, f_in, f_out), stride fixed at 1x1.  Two
+    algorithms compute the same map; kernels of at least FFT_MIN_KT
+    time taps take the second.
+
+    - Direct: the input is unfolded over time taps (im2col) while the
+      narrow channel axis is folded into a block-banded kernel matrix,
+      so a pass is one matrix product per sample.
+    - FFT: input and kernel are transformed along time, each channel
+      tap becomes one complex matrix product per frequency, and the
+      result is transformed back and cropped.  The transform length is
+      at least T + kt - 1, so nothing wraps around.
+
+    The kernel is transformed anew on every call: training, weight
+    restores and gradient checks write `kernel` in place.
     """
 
     def __init__(self, kt: int, kc: int, f_in: int, f_out: int, rng: np.random.Generator):
@@ -64,7 +80,35 @@ class Conv(Layer):
         self.d_kernel = np.zeros_like(self.kernel)
         self.d_bias = np.zeros_like(self.bias)
         self._cache = None
-        self._n_channels = None
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        if x.shape[3] != self.f_in:
+            raise ValueError(f"expected {self.f_in} input features, got {x.shape[3]}")
+        if self.kt >= FFT_MIN_KT:
+            out = self._fft_forward(x)
+        else:
+            out = self._direct_forward(x)
+        out += self.bias
+        return out
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        self.d_bias = dy.sum(axis=(0, 1, 2))
+        if self._cache[0] == "fft":
+            return self._fft_backward(dy)
+        return self._direct_backward(dy)
+
+    def adjoint(self, m: np.ndarray) -> np.ndarray:
+        """Pull a cotangent back through the linear part (no bias)."""
+        B, T, C, _ = m.shape
+        if self.kt >= FFT_MIN_KT:
+            n = next_fast_len(T + self.kt - 1, real=True)
+            ms = _rfft0(m.transpose(1, 2, 0, 3), n)
+            return self._fft_input_grad(ms, _rfft0(self.kernel, n), n, T)
+        return self._direct_input_grad(
+            m.reshape(B, T, C * self.f_out), (B, T, C, self.f_in)
+        )
+
+    # ------------------------------------------------------------ direct
 
     def _banded(self, n_channels: int) -> np.ndarray:
         """Kernel as a (kt * C * f_in, C * f_out) block-banded matrix.
@@ -74,17 +118,10 @@ class Conv(Layer):
         zero, which reproduces the zero padding over channels.
         """
         C, Fi, Fo = n_channels, self.f_in, self.f_out
-        pc0 = (self.kc - 1) // 2
-        banded = np.zeros((self.kt, C * Fi, C * Fo))
-        for out_c in range(C):
-            for dc in range(self.kc):
-                src_c = out_c + dc - pc0
-                if 0 <= src_c < C:
-                    banded[
-                        :,
-                        src_c * Fi : (src_c + 1) * Fi,
-                        out_c * Fo : (out_c + 1) * Fo,
-                    ] = self.kernel[:, dc]
+        banded = np.zeros((self.kt, C, Fi, C, Fo))
+        for dc, out, src in _channel_taps(C, self.kc):
+            for out_c, src_c in zip(range(C)[out], range(C)[src]):
+                banded[:, src_c, :, out_c] = self.kernel[:, dc]
         return banded.reshape(self.kt * C * Fi, C * Fo)
 
     def _pad(self, x: np.ndarray) -> np.ndarray:
@@ -108,10 +145,8 @@ class Conv(Layer):
             xp, (xp.shape[0], t_out, kt * xp.shape[2]), (sb, st, sw)
         )
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def _direct_forward(self, x: np.ndarray) -> np.ndarray:
         B, T, C, Fi = x.shape
-        if Fi != self.f_in:
-            raise ValueError(f"expected {self.f_in} input features, got {Fi}")
         xp = self._pad(x)
         banded = self._banded(C)
         view = self._window_view(xp, T, self.kt)
@@ -120,25 +155,22 @@ class Conv(Layer):
         for b in range(B):
             np.copyto(buf, view[b])
             np.matmul(buf, banded, out=out[b])
-        out += np.tile(self.bias, C)
-        self._cache = (xp, (B, T, C, Fi))
+        self._cache = ("direct", xp, x.shape)
         return out.reshape(B, T, C, self.f_out)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        xp, (B, T, C, Fi) = self._cache
-        width = C * Fi
+    def _direct_backward(self, dy: np.ndarray) -> np.ndarray:
+        _, xp, (B, T, C, Fi) = self._cache
         dy3 = dy.reshape(B, T, C * self.f_out)
-        self.d_bias = dy.sum(axis=(0, 1, 2))
         view = self._window_view(xp, T, self.kt)
-        d_banded = np.zeros((self.kt * width, C * self.f_out))
+        d_banded = np.zeros((self.kt * C * Fi, C * self.f_out))
         buf = np.empty(view.shape[1:])
         for b in range(B):
             np.copyto(buf, view[b])
             d_banded += buf.T @ dy3[b]
         self.d_kernel = self._fold_grad(d_banded, C)
-        return self._input_grad(dy3, (B, T, C, Fi))
+        return self._direct_input_grad(dy3, (B, T, C, Fi))
 
-    def _input_grad(self, dy3: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    def _direct_input_grad(self, dy3: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         """Adjoint of the padded correlation: overlap-add per time tap."""
         B, T, C, Fi = shape
         pt0 = (self.kt - 1) // 2
@@ -152,27 +184,57 @@ class Conv(Layer):
 
     def _fold_grad(self, d_banded: np.ndarray, C: int) -> np.ndarray:
         """Collapse a banded-matrix gradient back onto the kernel."""
-        Fi, Fo = self.f_in, self.f_out
-        pc0 = (self.kc - 1) // 2
-        db = d_banded.reshape(self.kt, C * Fi, C * Fo)
+        db = d_banded.reshape(self.kt, C, self.f_in, C, self.f_out)
         dk = np.zeros_like(self.kernel)
-        for out_c in range(C):
-            for dc in range(self.kc):
-                src_c = out_c + dc - pc0
-                if 0 <= src_c < C:
-                    dk[:, dc] += db[
-                        :,
-                        src_c * Fi : (src_c + 1) * Fi,
-                        out_c * Fo : (out_c + 1) * Fo,
-                    ]
+        for dc, out, src in _channel_taps(C, self.kc):
+            for out_c, src_c in zip(range(C)[out], range(C)[src]):
+                dk[:, dc] += db[:, src_c, :, out_c]
         return dk
 
-    def adjoint(self, m: np.ndarray) -> np.ndarray:
-        """Pull a cotangent back through the linear part (no bias)."""
-        B, T, C, _ = m.shape
-        return self._input_grad(
-            m.reshape(B, T, C * self.f_out), (B, T, C, self.f_in)
-        )
+    # --------------------------------------------------------------- FFT
+    #
+    # The input is transformed reversed in time, which turns every
+    # correlation here into a convolution: the forward pass, the input
+    # gradient and the kernel gradient all multiply plain spectra, and
+    # no spectrum is conjugated.  With xr the reversed input and pt0
+    # the leading time padding:
+    #   y[t]   = (xr * k)[T - 1 + pt0 - t]
+    #   dx[s]  = (dy * k)[s + pt0]
+    #   dk[dt] = (xr * dy)[T - 1 + pt0 - dt]
+    # Batched spectra are laid out as (freq, channel, batch, feature),
+    # so the rows of a channel range are one block per frequency.
+
+    def _fft_forward(self, x: np.ndarray) -> np.ndarray:
+        B, T, C, _ = x.shape
+        n = next_fast_len(T + self.kt - 1, real=True)
+        xs = _rfft0(x.transpose(1, 2, 0, 3)[::-1], n)
+        ys = _mix_channels(xs, _rfft0(self.kernel, n), _channel_taps(C, self.kc))
+        self._cache = ("fft", (xs, n), x.shape)
+        pt0 = (self.kt - 1) // 2
+        y = _irfft0(ys, n)[pt0 : pt0 + T][::-1]
+        return np.ascontiguousarray(y.transpose(2, 0, 1, 3))
+
+    def _fft_backward(self, dy: np.ndarray) -> np.ndarray:
+        _, (xs, n), (_, T, C, Fi) = self._cache
+        ks = _rfft0(self.kernel, n)
+        ds = _rfft0(dy.transpose(1, 2, 0, 3), n)
+        gs = np.zeros_like(ks)
+        for dc, out, src in _channel_taps(C, self.kc):
+            rows_x = xs[:, src].reshape(xs.shape[0], -1, Fi)
+            rows_d = ds[:, out].reshape(ds.shape[0], -1, self.f_out)
+            np.matmul(rows_x.transpose(0, 2, 1), rows_d, out=gs[:, dc])
+        end = T + (self.kt - 1) // 2
+        self.d_kernel = np.ascontiguousarray(_irfft0(gs, n)[end - self.kt : end][::-1])
+        return self._fft_input_grad(ds, ks, n, T)
+
+    def _fft_input_grad(self, ds, ks, n: int, T: int) -> np.ndarray:
+        """dx = dy * kernel from their spectra, cropped to the input."""
+        C = ds.shape[1]
+        taps = [(dc, src, out) for dc, out, src in _channel_taps(C, self.kc)]
+        dxs = _mix_channels(ds, ks.transpose(0, 1, 3, 2), taps)
+        pt0 = (self.kt - 1) // 2
+        dx = _irfft0(dxs, n)[pt0 : pt0 + T]
+        return np.ascontiguousarray(dx.transpose(2, 0, 1, 3))
 
     def params(self):
         return [("kernel", self.kernel), ("bias", self.bias)]
@@ -182,6 +244,55 @@ class Conv(Layer):
 
     def penalized(self):
         return [self.kernel, self.bias]
+
+
+def _channel_taps(n_channels: int, kc: int) -> list[tuple[int, slice, slice]]:
+    """(dc, output channels, source channels) of each channel tap.
+
+    Output channel c reads source channel c + dc - pad; taps whose
+    source falls outside the channel range are dropped (zero padding).
+    The centre tap, which reads every channel, comes first.
+    """
+    pc0 = (kc - 1) // 2
+    taps = []
+    for dc in sorted(range(kc), key=lambda dc: abs(dc - pc0)):
+        shift = dc - pc0
+        lo, hi = max(0, -shift), min(n_channels, n_channels - shift)
+        if lo < hi:
+            taps.append((dc, slice(lo, hi), slice(lo + shift, hi + shift)))
+    return taps
+
+
+def _rfft0(a: np.ndarray, n: int) -> np.ndarray:
+    """Spectrum along axis 0, zero-padded to n, as a contiguous
+    (n // 2 + 1, *a.shape[1:]) array.
+
+    The transform itself runs over contiguous rows along the last axis,
+    which is several times faster than numpy's strided transforms.
+    """
+    rows = np.ascontiguousarray(np.moveaxis(a, 0, -1))
+    return np.ascontiguousarray(np.moveaxis(np.fft.rfft(rows, n=n), -1, 0))
+
+
+def _irfft0(spec: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _rfft0: the (n, ...) signal, a view with time first."""
+    rows = np.ascontiguousarray(np.moveaxis(spec, 0, -1))
+    return np.moveaxis(np.fft.irfft(rows, n=n), -1, 0)
+
+
+def _mix_channels(spec: np.ndarray, kspec: np.ndarray, taps) -> np.ndarray:
+    """Sum over taps of spec[:, src] @ kspec[:, dc] into out[:, dst].
+
+    spec is (freq, C, B, f), kspec (freq, kc, f, g); every frequency
+    and channel tap is one (rows, f) @ (f, g) complex product.
+    """
+    F, C, B, f = spec.shape
+    (dc, _, _), *rest = taps  # the centre tap reads every channel
+    out = (spec.reshape(F, C * B, f) @ kspec[:, dc]).reshape(F, C, B, -1)
+    for dc, dst, src in rest:
+        rows = spec[:, src].reshape(F, -1, f)
+        out[:, dst] += (rows @ kspec[:, dc]).reshape(F, -1, B, out.shape[-1])
+    return out
 
 
 class BatchNorm(Layer):

@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 
 from seiznet.cli import OUT_ROOT_ENV, main
 
@@ -160,6 +161,11 @@ class TestPipelineArtifacts:
         assert cfg["args"]["kernel"] == 9
         assert cfg["args"]["filters"] == "2,2,2"
         assert "version" in cfg
+        env = cfg["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            assert env[var] == os.environ.get(var)
 
 
 class TestPrepareDeterminism:

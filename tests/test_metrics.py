@@ -42,6 +42,25 @@ class TestConfusion:
             confusion(np.zeros(3), np.zeros(4), 0.5)
 
 
+class TestNonFiniteProbabilities:
+    """NaN compares False with both bounds, so a range check alone
+    would let it through into the counts."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_metric_set_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            metric_set(np.array([0, 1, 1]), np.array([0.2, bad, 0.9]), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_roc_auc_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            roc_auc(np.array([0, 1, 1]), np.array([0.2, bad, 0.9]))
+
+    def test_histogram_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            prob_histogram(np.array([0.2, np.nan]))
+
+
 class TestMetricSet:
     def test_no_positives_leaves_sensitivity_undefined(self):
         m = metric_set(np.zeros(5), np.full(5, 0.1), 0.5)

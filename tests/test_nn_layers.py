@@ -15,9 +15,11 @@ from seiznet.nn.gradcheck import (
     finite_diff_check,
     relative_error,
 )
+from seiznet.nn import layers
 from seiznet.nn.layers import (
     BN_EPS,
     BN_MOMENTUM,
+    FFT_MIN_KT,
     BatchNorm,
     Conv,
     Dense,
@@ -34,10 +36,14 @@ N_SEEDS = 20
 
 
 def naive_conv(x, kernel, bias):
-    """Direct cross-correlation with same zero padding on both axes."""
+    """Direct cross-correlation with same zero padding on both axes.
+
+    An even kernel puts its extra tap after the centre: (k - 1) // 2
+    taps reach back, k // 2 reach forward.
+    """
     B, T, C, _ = x.shape
     kt, kc, f_in, f_out = kernel.shape
-    pt, pc = kt // 2, kc // 2
+    pt, pc = (kt - 1) // 2, (kc - 1) // 2
     out = np.zeros((B, T, C, f_out))
     for b in range(B):
         for t in range(T):
@@ -55,39 +61,96 @@ def naive_conv(x, kernel, bias):
     return out
 
 
+# A time kernel on the FFT side of Conv's rule, and a length T whose
+# transform size T + kt - 1 is not a fast FFT length.
+FFT_KT = FFT_MIN_KT + 1
+ODD_T = 67
+
+# (kt, f_in, f_out, channels, T): the direct path, then the FFT path with
+# odd and even kernels, one input feature, and 4, 2 and 1 channels (the
+# 3-tap channel kernel reaches past both edges, one edge, or neither).
+CONV_SHAPES = [
+    (3, 2, 2, 4, 6),
+    (FFT_KT, 2, 2, 4, ODD_T),
+    (FFT_KT - 1, 1, 3, 2, ODD_T),
+    (FFT_KT, 2, 1, 1, ODD_T),
+]
+
+
 class TestConv:
     def test_matches_naive_cross_correlation(self):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            layer = Conv(3, 3, 2, 2, rng)
-            x = rng.normal(size=(2, 6, 4, 2))
-            got = layer.forward(x)
-            want = naive_conv(x, layer.kernel, layer.bias)
-            assert np.max(np.abs(got - want)) < 1e-12
+        for kt, f_in, f_out, C, T in CONV_SHAPES:
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                layer = Conv(kt, 3, f_in, f_out, rng)
+                layer.bias[:] = rng.normal(size=f_out)
+                x = rng.normal(size=(2, T, C, f_in))
+                got = layer.forward(x)
+                want = naive_conv(x, layer.kernel, layer.bias)
+                assert np.max(np.abs(got - want)) < 1e-12, (kt, f_in, C)
 
     def test_gradients(self):
-        worst = 0.0
-        for seed in range(N_SEEDS):
-            rng = np.random.default_rng(100 + seed)
-            layer = Conv(3, 3, 2, 2, rng)
-            x = rng.normal(size=(2, 5, 4, 2))
-            worst = max(worst, check_layer_gradients(layer, x, rng))
-        assert worst < TOL
+        # (kt, f_in, channels, T, seeds)
+        for kt, f_in, C, T, n_seeds in [
+            (3, 2, 4, 5, N_SEEDS),
+            (FFT_KT, 2, 4, ODD_T, 2),
+            (FFT_KT - 1, 1, 2, ODD_T, 2),
+        ]:
+            worst = 0.0
+            for seed in range(n_seeds):
+                rng = np.random.default_rng(100 + seed)
+                layer = Conv(kt, 3, f_in, 2, rng)
+                x = rng.normal(size=(2, T, C, f_in))
+                worst = max(worst, check_layer_gradients(layer, x, rng))
+            assert worst < TOL, kt
 
     def test_wide_time_kernel_gradients(self):
-        rng = np.random.default_rng(0)
-        layer = Conv(9, 3, 1, 2, rng)
-        x = rng.normal(size=(1, 12, 4, 1))
-        assert check_layer_gradients(layer, x, rng) < TOL
+        for kt, T in [(9, 12), (FFT_KT, 40)]:
+            rng = np.random.default_rng(0)
+            layer = Conv(kt, 3, 1, 2, rng)
+            x = rng.normal(size=(1, T, 4, 1))
+            assert check_layer_gradients(layer, x, rng) < TOL, kt
 
     def test_adjoint_equals_backward(self):
-        rng = np.random.default_rng(1)
-        layer = Conv(5, 3, 2, 3, rng)
-        x = rng.normal(size=(2, 8, 4, 2))
-        y = layer.forward(x)
-        cot = rng.normal(size=y.shape)
-        dx = layer.backward(cot)
-        np.testing.assert_array_equal(layer.adjoint(cot), dx)
+        for kt, C, T in [(5, 4, 8), (FFT_KT, 4, ODD_T), (FFT_KT - 1, 1, ODD_T)]:
+            rng = np.random.default_rng(1)
+            layer = Conv(kt, 3, 2, 3, rng)
+            x = rng.normal(size=(2, T, C, 2))
+            y = layer.forward(x)
+            cot = rng.normal(size=y.shape)
+            dx = layer.backward(cot)
+            np.testing.assert_array_equal(layer.adjoint(cot), dx)
+
+    @pytest.mark.parametrize("kt, f_in, f_out, C, T", CONV_SHAPES[1:])
+    def test_fft_path_matches_direct_path(self, monkeypatch, kt, f_in, f_out, C, T):
+        rng = np.random.default_rng(3)
+        layer = Conv(kt, 3, f_in, f_out, rng)
+        layer.bias[:] = rng.normal(size=f_out)
+        x = rng.normal(size=(3, T, C, f_in))
+        cot = rng.normal(size=(3, T, C, f_out))
+
+        def run():
+            y = layer.forward(x, train=True)
+            dx = layer.backward(cot)
+            return y, dx, layer.d_kernel.copy(), layer.d_bias.copy(), layer.adjoint(cot)
+
+        fft = run()
+        monkeypatch.setattr(layers, "FFT_MIN_KT", kt + 1)
+        direct = run()
+        for got, want in zip(fft, direct):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_fft_path_sees_in_place_kernel_writes(self):
+        """Nothing derived from the kernel may outlive a call: SGD, weight
+        restores and gradient checks all write the kernel in place."""
+        rng = np.random.default_rng(4)
+        layer = Conv(FFT_KT, 3, 2, 2, rng)
+        x = rng.normal(size=(1, ODD_T, 4, 2))
+        before = layer.forward(x).copy()
+        layer.kernel[FFT_KT // 2, 1] *= -3.0
+        after = layer.forward(x)
+        assert np.max(np.abs(after - before)) > 0.1
+        assert np.max(np.abs(after - naive_conv(x, layer.kernel, layer.bias))) < 1e-12
 
     def test_bias_shifts_every_output(self):
         rng = np.random.default_rng(2)
