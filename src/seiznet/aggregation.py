@@ -11,12 +11,13 @@ carry decisions but never reach the counts.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from seiznet.errors import AggregationError
+from seiznet.errors import AggregationError, DataError
 from seiznet.metrics import ConfusionCounts, MetricSet, metric_set_from_counts
 
 log = logging.getLogger(__name__)
@@ -30,17 +31,44 @@ DEFAULT_BAYES_THRESHOLDS = tuple(np.arange(0, 21) * 0.25)
 DEFAULT_DIFF_LAGS = tuple(range(1, 24))
 DEFAULT_DIFF_THRESHOLDS = tuple(np.round(np.arange(1, 20) * 0.05, 2))
 
+# The one place a method's window parameter gets its artifact name.
+PARAMETER_NAMES = {"bayes": "window", "diff": "lag"}
+DEFAULT_GRIDS = {
+    "bayes": (DEFAULT_BAYES_WINDOWS, DEFAULT_BAYES_THRESHOLDS),
+    "diff": (DEFAULT_DIFF_LAGS, DEFAULT_DIFF_THRESHOLDS),
+}
+
 
 @dataclass(frozen=True)
-class BayesParams:
+class Rule:
+    """An aggregation method, its window (bayes) or lag (diff), and
+    the threshold its statistic must strictly exceed."""
+
+    method: str
     window: int
     threshold: float
 
+    def to_dict(self) -> dict:
+        return {
+            "method": self.method,
+            PARAMETER_NAMES[self.method]: self.window,
+            "threshold": self.threshold,
+        }
 
-@dataclass(frozen=True)
-class DiffParams:
-    lag: int
-    threshold: float
+    @classmethod
+    def from_dict(cls, payload: dict, source) -> "Rule":
+        """Read a rule written by to_dict; source names it in errors."""
+        method = payload.get("method")
+        if method not in PARAMETER_NAMES:
+            raise DataError(f"{source}: unknown aggregation method {method!r}")
+        try:
+            return cls(
+                method,
+                int(payload[PARAMETER_NAMES[method]]),
+                float(payload["threshold"]),
+            )
+        except KeyError as exc:
+            raise DataError(f"{source}: {method} rule lacks {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -53,46 +81,51 @@ class SeizureOutcome:
     first_detection: dict  # part name -> series index of first positive
 
 
-def bayes_logodds(probs: np.ndarray, window: int) -> np.ndarray:
-    """Sliding sums of per-window log odds.
+def statistic(probs: np.ndarray, method: str, window: int) -> np.ndarray:
+    """Per-window statistic of an aggregation method.
 
-    Entry t sums ln(p/(1-p)) over the window of positions ending at t.
-    Entries before the first complete window are NaN: no decision is
-    defined there.  Probabilities are clamped away from 0 and 1 so
-    every term is finite.
+    bayes: entry t sums ln(p/(1-p)) over the `window` positions ending
+    at t.  Probabilities are clamped away from 0 and 1 so every term
+    is finite.
+    diff: entry t is probs[t] - probs[t - window].
+
+    Entries without a complete window (the first window - 1 for bayes,
+    the first window for diff) are NaN: no decision is defined there.
     """
     probs = np.asarray(probs, dtype=np.float64)
+    if method not in PARAMETER_NAMES:
+        raise ValueError(f"unknown aggregation method {method!r}")
     if window < 1:
-        raise ValueError(f"window {window} must be positive")
+        raise ValueError(f"{PARAMETER_NAMES[method]} {window} must be positive")
+    out = np.full(probs.shape, np.nan)
+    if method == "diff":
+        out[window:] = probs[window:] - probs[:-window]
+        return out
     p = np.clip(probs, LOGODDS_FLOOR, 1.0 - LOGODDS_FLOOR)
     terms = np.log(p) - np.log1p(-p)
     csum = np.concatenate([[0.0], np.cumsum(terms)])
-    out = np.full(probs.shape, np.nan)
     if probs.size >= window:
         out[window - 1 :] = csum[window:] - csum[:-window]
     return out
 
 
-def bayes_decide(probs: np.ndarray, params: BayesParams) -> np.ndarray:
-    """Positive where accumulated log odds exceed the threshold.
+def decide(probs: np.ndarray, rule: Rule) -> np.ndarray:
+    """Positive where the rule's statistic exceeds its threshold.
 
-    Undefined prefix entries (incomplete window) decide negative.
+    NaN never exceeds a threshold, so the undefined prefix decides
+    negative.
     """
-    lo = bayes_logodds(probs, params.window)
-    return np.where(np.isnan(lo), False, lo > params.threshold)
+    return statistic(probs, rule.method, rule.window) > rule.threshold
 
 
-def diff_decide(probs: np.ndarray, params: DiffParams) -> np.ndarray:
-    """Positive where probability rose by more than the threshold
-    relative to `lag` windows earlier; the first `lag` entries have no
-    comparison point and decide negative."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if params.lag < 1:
-        raise ValueError(f"lag {params.lag} must be positive")
-    out = np.zeros(probs.shape, dtype=bool)
-    if probs.size > params.lag:
-        out[params.lag :] = (probs[params.lag :] - probs[: -params.lag]) > params.threshold
-    return out
+# The bayes-only names the benchmark in perfbench/ imports.
+BayesParams = functools.partial(Rule, "bayes")
+bayes_decide = decide
+
+
+def _has_scored_parts(parts) -> bool:
+    present = set(parts)
+    return SCORED_POSITIVE_PART in present and SCORED_NEGATIVE_PART in present
 
 
 def seizure_eval(
@@ -107,12 +140,11 @@ def seizure_eval(
     decisions = np.asarray(decisions, dtype=bool)
     if decisions.shape[0] != len(parts):
         raise ValueError("decisions and part tags differ in length")
-    present = set(parts)
-    if SCORED_POSITIVE_PART not in present or SCORED_NEGATIVE_PART not in present:
+    if not _has_scored_parts(parts):
         log.warning(
             "record %s lacks a scored part (has %s), skipping",
             record_id,
-            sorted(present),
+            sorted(set(parts)),
         )
         return None
     first: dict[str, int | None] = {}
@@ -160,37 +192,12 @@ class GridResult:
 
     def to_dict(self) -> dict:
         return {
-            "method": self.method,
-            "window" if self.method == "bayes" else "lag": self.best_window,
-            "threshold": self.best_threshold,
+            **Rule(self.method, self.best_window, self.best_threshold).to_dict(),
             "f1": self.best_f1,
             "n_series": self.n_series,
             "n_tied_cells": len(self.ties),
             "skipped_records": list(self.skipped_records),
         }
-
-
-def _nanmax_or_neginf(values: np.ndarray) -> float:
-    """Max ignoring NaN; -inf when nothing is defined (never positive)."""
-    finite = values[~np.isnan(values)]
-    return float(finite.max()) if finite.size else -np.inf
-
-
-def _decision_stack(
-    probs: np.ndarray, method: str, windows: tuple[int, ...]
-) -> list[np.ndarray]:
-    """Decision inputs per window parameter, before thresholding."""
-    if method == "bayes":
-        return [bayes_logodds(probs, w) for w in windows]
-    if method == "diff":
-        out = []
-        for lag in windows:
-            d = np.full(probs.shape, -np.inf)
-            if probs.size > lag:
-                d[lag:] = probs[lag:] - probs[:-lag]
-            out.append(d)
-        return out
-    raise ValueError(f"unknown aggregation method {method!r}")
 
 
 def grid_search(
@@ -207,20 +214,16 @@ def grid_search(
     argmax prefers the smallest window and then the smallest
     threshold among tied cells.
     """
-    if method == "bayes":
-        windows = DEFAULT_BAYES_WINDOWS if windows is None else windows
-        thresholds = DEFAULT_BAYES_THRESHOLDS if thresholds is None else thresholds
-    elif method == "diff":
-        windows = DEFAULT_DIFF_LAGS if windows is None else windows
-        thresholds = DEFAULT_DIFF_THRESHOLDS if thresholds is None else thresholds
-    else:
+    if method not in DEFAULT_GRIDS:
         raise ValueError(f"unknown aggregation method {method!r}")
+    default_windows, default_thresholds = DEFAULT_GRIDS[method]
+    windows = default_windows if windows is None else windows
+    thresholds = default_thresholds if thresholds is None else thresholds
 
     usable = []
     skipped = []
     for s in series:
-        present = set(s.parts)
-        if SCORED_POSITIVE_PART in present and SCORED_NEGATIVE_PART in present:
+        if _has_scored_parts(s.parts):
             usable.append(s)
         else:
             log.warning(
@@ -231,51 +234,51 @@ def grid_search(
     if not usable:
         raise AggregationError("no records with both scored parts; grid undefined")
 
-    # Per series and window parameter: the pre-threshold statistic in
-    # the ictal and interictal windows (NaN-safe: NaN never exceeds).
-    ictal_stats = []
-    inter_stats = []
-    for s in usable:
+    # A record decides positive in a part at threshold th exactly when
+    # the statistic's maximum over that part exceeds th.  fmax skips
+    # NaN; a part with no defined entry keeps -inf, which never does.
+    n = len(usable)
+    ict_max = np.full((n, len(windows)), -np.inf)
+    int_max = np.full((n, len(windows)), -np.inf)
+    for i, s in enumerate(usable):
         parts = np.asarray(s.parts)
-        stack = _decision_stack(np.asarray(s.probs), method, windows)
         ict = parts == SCORED_POSITIVE_PART
         intr = parts == SCORED_NEGATIVE_PART
-        ictal_stats.append([st[ict] for st in stack])
-        inter_stats.append([st[intr] for st in stack])
+        for j, w in enumerate(windows):
+            stat = statistic(s.probs, method, w)
+            ict_max[i, j] = np.fmax.reduce(stat[ict], initial=-np.inf)
+            int_max[i, j] = np.fmax.reduce(stat[intr], initial=-np.inf)
+    th = np.asarray(thresholds, dtype=np.float64)
+    tp = (ict_max[:, :, None] > th).sum(0)
+    fp = (int_max[:, :, None] > th).sum(0)
 
-    n = len(usable)
-    f1 = np.full((len(windows), len(thresholds)), np.nan)
-    best = None
-    ties: list[tuple[int, float]] = []
-    for wi, w in enumerate(windows):
-        ict_max = np.array([_nanmax_or_neginf(ictal_stats[i][wi]) for i in range(n)])
-        int_max = np.array([_nanmax_or_neginf(inter_stats[i][wi]) for i in range(n)])
-        for ti, th in enumerate(thresholds):
-            tp = int(np.sum(ict_max > th))
-            fp = int(np.sum(int_max > th))
-            counts = ConfusionCounts(tp=tp, fp=fp, tn=n - fp, fn=n - tp)
-            cell = metric_set_from_counts(counts).f1
-            if cell is None:
-                continue
-            f1[wi, ti] = cell
-            if best is None or cell > best[0]:
-                best = (cell, w, th)
-                ties = [(w, float(th))]
-            elif cell == best[0]:
-                ties.append((w, float(th)))
-    if best is None:
+    f1 = np.full(tp.shape, np.nan)
+    for cell in np.ndindex(f1.shape):
+        hits, alarms = int(tp[cell]), int(fp[cell])
+        counts = ConfusionCounts(tp=hits, fp=alarms, tn=n - alarms, fn=n - hits)
+        value = metric_set_from_counts(counts).f1
+        if value is not None:
+            f1[cell] = value
+    if np.isnan(f1).all():
         raise AggregationError(
             "F1 undefined on every grid cell (no positive decisions anywhere)"
         )
+    best_f1 = float(np.nanmax(f1))
+    # argwhere walks row-major, so ties[0] is the first cell in grid
+    # order: on ascending grids, the smallest window, then threshold
+    ties = tuple(
+        (int(windows[wi]), float(thresholds[ti]))
+        for wi, ti in np.argwhere(f1 == best_f1)
+    )
     return GridResult(
         method=method,
         windows=tuple(int(w) for w in windows),
         thresholds=tuple(float(t) for t in thresholds),
         f1_matrix=f1,
-        best_window=best[1],
-        best_threshold=float(best[2]),
-        best_f1=float(best[0]),
-        ties=tuple(ties),
+        best_window=ties[0][0],
+        best_threshold=ties[0][1],
+        best_f1=best_f1,
+        ties=ties,
         n_series=n,
         skipped_records=tuple(skipped),
     )

@@ -21,10 +21,8 @@ import scipy
 
 from seiznet import __version__
 from seiznet.aggregation import (
-    BayesParams,
-    DiffParams,
-    bayes_decide,
-    diff_decide,
+    Rule,
+    decide,
     grid_search,
     seizure_counts,
     seizure_eval,
@@ -66,6 +64,9 @@ VALIDATION_SAMPLE_FRACTION = 0.1
 # Thread counts that change BLAS summation order, and with it the last
 # bits of trained weights; recorded in every run_config.json.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# Failures of input, files or arguments; any other exception also ends
+# in the JSON error line, after its traceback is logged.
+EXPECTED_ERRORS = (SeizNetError, OSError, ValueError, KeyError)
 
 
 def _resolve_out(path: str) -> str:
@@ -260,34 +261,21 @@ def cmd_optimize(args: argparse.Namespace) -> None:
     )
 
 
-def _decider(args: argparse.Namespace):
+def _rule(args: argparse.Namespace) -> Rule:
     if args.params:
         with open(args.params) as fh:
-            payload = json.load(fh)
-        method = payload["method"]
-        window = int(payload.get("window", payload.get("lag", 0)))
-        threshold = float(payload["threshold"])
-    else:
-        method = args.method
-        window = args.window
-        threshold = args.threshold
-        if method is None or window is None or threshold is None:
-            raise DataError(
-                "aggregate needs --params or all of --method/--window/--threshold"
-            )
-    if method == "bayes":
-        params = BayesParams(window=window, threshold=threshold)
-        return method, params, lambda probs: bayes_decide(probs, params)
-    if method == "diff":
-        params = DiffParams(lag=window, threshold=threshold)
-        return method, params, lambda probs: diff_decide(probs, params)
-    raise DataError(f"unknown aggregation method {method!r}")
+            return Rule.from_dict(json.load(fh), args.params)
+    if args.method is None or args.window is None or args.threshold is None:
+        raise DataError(
+            "aggregate needs --params or all of --method/--window/--threshold"
+        )
+    return Rule(args.method, args.window, args.threshold)
 
 
 def cmd_aggregate(args: argparse.Namespace) -> None:
     out = _resolve_out(args.out)
     ensure_dir(out)
-    method, params, decide = _decider(args)
+    rule = _rule(args)
     records, plan, _ = load_store(args.data)
     model = load_model(args.weights)
     timeline_dir = os.path.join(out, "timelines")
@@ -296,7 +284,7 @@ def cmd_aggregate(args: argparse.Namespace) -> None:
     skipped = []
     for rec in _sorted_records(records, plan.test_patients):
         series = predict_series(model, rec)
-        decisions = decide(series.probs)
+        decisions = decide(series.probs, rule)
         timeline_csv(
             series, decisions, os.path.join(timeline_dir, f"{rec.record_id}.csv")
         )
@@ -309,11 +297,12 @@ def cmd_aggregate(args: argparse.Namespace) -> None:
         raise DataError("no scorable records among the test patients")
     m = seizure_metrics(outcomes)
     counts = seizure_counts(outcomes)
+    params = rule.to_dict()
     atomic_write_json(
         os.path.join(out, "metrics.json"),
         {
-            "method": method,
-            "params": params.__dict__,
+            "method": params.pop("method"),
+            "params": params,
             "n_records": len(outcomes),
             "skipped_records": skipped,
             "seizure_metrics": m.to_dict(),
@@ -486,7 +475,9 @@ def main(argv=None) -> int:
     )
     try:
         args.handler(args)
-    except (SeizNetError, OSError, ValueError, KeyError) as exc:
+    except Exception as exc:
+        if not isinstance(exc, EXPECTED_ERRORS):
+            log.exception("%s failed unexpectedly", args.command)
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

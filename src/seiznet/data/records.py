@@ -118,8 +118,8 @@ def load_record(
     """Read a headerless 4-column CSV of channel samples in microvolts.
 
     Columns follow the fixed montage order F7-T7, F8-T8, T7-P7, T8-P8.
-    fs must be one of 256, 512, or 1024 Hz and the onset must lie
-    inside the record.
+    fs must be one of 256, 512, or 1024 Hz, the onset must lie inside
+    the record, and every sample must be finite.
     """
     if fs not in ACCEPTED_FS:
         raise DataError(f"sampling rate {fs} Hz not in {ACCEPTED_FS}")
@@ -131,6 +131,14 @@ def load_record(
         raise DataError(
             f"{path}: expected {len(CHANNELS)} columns,"
             f" found {samples.shape[1] if samples.ndim == 2 else 1}"
+        )
+    # np.loadtxt parses "nan" and "inf" like any other number
+    bad = np.argwhere(~np.isfinite(samples))
+    if bad.size:
+        row, col = bad[0]
+        raise DataError(
+            f"{path}: non-finite value {samples[row, col]} at row {row},"
+            f" column {col}"
         )
     if not (0 <= onset_sample < samples.shape[0]):
         raise DataError(

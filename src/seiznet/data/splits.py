@@ -7,7 +7,6 @@ boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +64,6 @@ class SplitPlan:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, payload: dict) -> "SplitPlan":
         plan = cls(
@@ -80,10 +76,6 @@ class SplitPlan:
         )
         plan.validate()
         return plan
-
-    @classmethod
-    def from_json(cls, text: str) -> "SplitPlan":
-        return cls.from_dict(json.loads(text))
 
 
 def split_patients(

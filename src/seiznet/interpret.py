@@ -33,10 +33,6 @@ class Spectrum:
     freqs: np.ndarray
     power: np.ndarray
 
-    @property
-    def bin_hz(self) -> float:
-        return float(self.freqs[1] - self.freqs[0])
-
 
 @dataclass
 class MaximizedInput:
@@ -264,7 +260,7 @@ def _pool_multipliers(
     d_abs = np.abs(d_in)
     if pad_mask is not None:
         d_abs = np.where(pad_mask, -1.0, d_abs)
-    primary = layer._cache[0][0:1, :, None]
+    primary = layer.argmax[0:1, :, None]
     d_primary = np.take_along_axis(d_in, primary, axis=2)
     alt = d_abs.argmax(axis=2)[:, :, None]
     d_alt = np.take_along_axis(d_in, alt, axis=2)

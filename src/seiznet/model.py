@@ -152,14 +152,6 @@ class TrainedModel:
             d_out = layer.backward(d_out)
         return d_out
 
-    def describe(self) -> dict:
-        """Ordered layer type names and their counts."""
-        names = [type(layer).__name__ for layer in self.layers]
-        counts: dict[str, int] = {}
-        for n in names:
-            counts[n] = counts.get(n, 0) + 1
-        return {"layers": names, "counts": counts}
-
     def receptive_field_report(self) -> dict:
         cfg = self.config
         return {

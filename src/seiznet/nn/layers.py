@@ -421,6 +421,12 @@ class MaxPoolTime(Layer):
         self._cache = (idx, (B, T, C, F), t_out)
         return out
 
+    @property
+    def argmax(self) -> np.ndarray:
+        """Winning offset within each pool of the last forward pass,
+        shaped (B, T_out, C, F)."""
+        return self._cache[0]
+
     def backward(self, dy: np.ndarray) -> np.ndarray:
         idx, (B, T, C, F), t_out = self._cache
         d_grouped = np.zeros((B, t_out, self.pool, C, F))

@@ -13,7 +13,7 @@ import io
 import numpy as np
 
 from seiznet import CHANNELS
-from seiznet.aggregation import GridResult
+from seiznet.aggregation import PARAMETER_NAMES, GridResult
 from seiznet.fsio import atomic_write_text
 from seiznet.interpret import AttributionMap, MaximizedInput
 
@@ -172,9 +172,9 @@ def maximized_report_csv(
 
 def grid_csv(grid: GridResult, path) -> None:
     """Full F1 matrix; rows are window/lag values, columns thresholds."""
-    row_name = "window" if grid.method == "bayes" else "lag"
     buf = io.StringIO()
-    buf.write(row_name + "," + ",".join(f"{t:g}" for t in grid.thresholds) + "\n")
+    header = [PARAMETER_NAMES[grid.method]] + [f"{t:g}" for t in grid.thresholds]
+    buf.write(",".join(header) + "\n")
     for w, row in zip(grid.windows, grid.f1_matrix):
         cells = ["" if np.isnan(v) else f"{v:.6f}" for v in row]
         buf.write(f"{w}," + ",".join(cells) + "\n")

@@ -25,11 +25,11 @@ from seiznet.aggregation import (
     DEFAULT_BAYES_WINDOWS,
     DEFAULT_DIFF_LAGS,
     DEFAULT_DIFF_THRESHOLDS,
-    DiffParams,
-    bayes_logodds,
-    diff_decide,
+    Rule,
+    decide,
     seizure_counts,
     seizure_eval,
+    statistic,
 )
 from seiznet.cli import main
 from seiznet.data.records import EegRecord, partition, record_segments, windows
@@ -221,7 +221,7 @@ def test_a3_aggregation_oracles(checklist):
             n = int(rng.integers(1, 31))
             w = int(rng.integers(1, n + 1))
             probs = rng.uniform(0.001, 0.999, size=n)
-            got = bayes_logodds(probs, w)
+            got = statistic(probs, "bayes", w)
             assert np.all(np.isnan(got[: w - 1]))
             for t in range(w - 1, n):
                 ratio = np.prod(probs[t - w + 1 : t + 1] / (1.0 - probs[t - w + 1 : t + 1]))
@@ -231,7 +231,7 @@ def test_a3_aggregation_oracles(checklist):
             lag = int(rng.integers(1, n))
             th = float(rng.uniform(0.05, 0.95))
             probs = rng.uniform(0.0, 1.0, size=n)
-            got = diff_decide(probs, DiffParams(lag=lag, threshold=th))
+            got = decide(probs, Rule("diff", lag, th))
             naive = np.array(
                 [t >= lag and probs[t] - probs[t - lag] > th for t in range(n)]
             )

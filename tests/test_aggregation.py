@@ -10,17 +10,15 @@ from seiznet.aggregation import (
     DEFAULT_BAYES_WINDOWS,
     DEFAULT_DIFF_LAGS,
     DEFAULT_DIFF_THRESHOLDS,
-    BayesParams,
-    DiffParams,
-    bayes_decide,
-    bayes_logodds,
-    diff_decide,
+    Rule,
+    decide,
     grid_search,
     seizure_counts,
     seizure_eval,
     seizure_metrics,
+    statistic,
 )
-from seiznet.errors import AggregationError
+from seiznet.errors import AggregationError, DataError
 from seiznet.model import ProbabilitySeries
 
 
@@ -43,7 +41,7 @@ class TestBayesLogodds:
             n = int(rng.integers(1, 31))
             probs = rng.uniform(0.001, 0.999, n)
             w = int(rng.integers(1, n + 1))
-            got = bayes_logodds(probs, w)
+            got = statistic(probs, "bayes", w)
             for t in range(n):
                 if t < w - 1:
                     assert np.isnan(got[t])
@@ -54,27 +52,32 @@ class TestBayesLogodds:
         assert worst < 1e-12
 
     def test_extreme_probabilities_stay_finite(self):
-        lo = bayes_logodds(np.array([0.0, 1.0, 0.5]), 2)
+        lo = statistic(np.array([0.0, 1.0, 0.5]), "bayes", 2)
         assert np.isnan(lo[0])
         assert np.all(np.isfinite(lo[1:]))
 
     def test_window_longer_than_series(self):
-        assert np.all(np.isnan(bayes_logodds(np.array([0.9, 0.9]), 5)))
+        for method in ("bayes", "diff"):
+            assert np.all(np.isnan(statistic(np.array([0.9, 0.9]), method, 5)))
 
     def test_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            bayes_logodds(np.array([0.5]), 0)
+        with pytest.raises(ValueError, match="window 0"):
+            statistic(np.array([0.5]), "bayes", 0)
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="method"):
+            statistic(np.array([0.5]), "votes", 1)
 
 
 class TestDecisions:
     def test_bayes_undefined_prefix_is_negative(self):
-        d = bayes_decide(np.array([0.9, 0.9, 0.9]), BayesParams(2, 0.0))
+        d = decide(np.array([0.9, 0.9, 0.9]), Rule("bayes", 2, 0.0))
         assert d.tolist() == [False, True, True]
 
     def test_bayes_threshold_is_strict(self):
         probs = np.array([0.5, 0.5])
         # log odds of 0.5 is exactly 0; L > 0 must be False
-        d = bayes_decide(probs, BayesParams(1, 0.0))
+        d = decide(probs, Rule("bayes", 1, 0.0))
         assert not d.any()
 
     def test_diff_matches_naive_definition(self):
@@ -84,7 +87,7 @@ class TestDecisions:
             probs = rng.uniform(0, 1, n)
             lag = int(rng.integers(1, 25))
             th = float(rng.uniform(0, 1))
-            got = diff_decide(probs, DiffParams(lag, th))
+            got = decide(probs, Rule("diff", lag, th))
             want = [
                 t >= lag and (probs[t] - probs[t - lag]) > th
                 for t in range(n)
@@ -92,8 +95,32 @@ class TestDecisions:
             assert got.tolist() == want
 
     def test_diff_rejects_nonpositive_lag(self):
-        with pytest.raises(ValueError):
-            diff_decide(np.array([0.5]), DiffParams(0, 0.1))
+        with pytest.raises(ValueError, match="lag 0"):
+            decide(np.array([0.5]), Rule("diff", 0, 0.1))
+
+
+class TestRule:
+    def test_dict_names_the_window_parameter(self):
+        assert Rule("bayes", 3, 0.5).to_dict() == {
+            "method": "bayes", "window": 3, "threshold": 0.5,
+        }
+        assert Rule("diff", 4, 0.25).to_dict() == {
+            "method": "diff", "lag": 4, "threshold": 0.25,
+        }
+
+    def test_dict_round_trip(self):
+        for rule in (Rule("bayes", 3, 0.5), Rule("diff", 4, 0.25)):
+            assert Rule.from_dict(rule.to_dict(), "p.json") == rule
+
+    def test_bayes_rule_with_lag_names_the_source(self):
+        payload = {"method": "bayes", "lag": 3, "threshold": 0.5}
+        with pytest.raises(DataError, match="p.json: bayes rule lacks 'window'"):
+            Rule.from_dict(payload, "p.json")
+
+    def test_unknown_method_names_the_source(self):
+        payload = {"method": "votes", "window": 3, "threshold": 0.5}
+        with pytest.raises(DataError, match="p.json: unknown aggregation method"):
+            Rule.from_dict(payload, "p.json")
 
 
 PARTS_FULL = (

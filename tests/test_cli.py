@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
+from seiznet import cli
 from seiznet.cli import OUT_ROOT_ENV, main
 
 TINY_TRAIN = ["--kernel", "9", "--filters", "2,2,2", "--epochs", "2", "--patience", "2"]
@@ -215,6 +216,7 @@ class TestErrorPaths:
         payload = json.loads(err)
         assert "error" in payload
         assert fragment in payload["message"]
+        return payload
 
     def test_train_on_missing_store(self, tmp_path, capsys):
         self.expect_error(
@@ -249,6 +251,29 @@ class TestErrorPaths:
             capsys,
             "--method",
         )
+
+    def test_bayes_params_with_lag_name_the_file(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"method": "bayes", "lag": 3, "threshold": 1.0}))
+        self.expect_error(
+            ["aggregate", "--data", str(tmp_path / "store"), "--weights",
+             str(tmp_path / "weights.bin"), "--out", str(tmp_path / "out"),
+             "--params", str(params)],
+            capsys,
+            f"{params}: bayes rule lacks 'window'",
+        )
+
+    def test_unexpected_exception_gets_the_error_line(self, tmp_path, capsys, monkeypatch):
+        def broken(params):
+            raise RuntimeError("synthesis broke")
+
+        monkeypatch.setattr(cli, "generate_corpus", broken)
+        payload = self.expect_error(
+            ["prepare", "--out", str(tmp_path / "store"), "--seed", "1"],
+            capsys,
+            "synthesis broke",
+        )
+        assert payload["error"] == "RuntimeError"
 
     def test_evaluate_with_bad_weights(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "weights.bin"

@@ -49,6 +49,13 @@ class TestLoadRecord:
         with pytest.raises(DataError, match="'oops' at row 1, column 1"):
             load_record(path, fs=256, onset_sample=0, patient_id="p")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_samples(self, tmp_path, cell):
+        path = tmp_path / "x.csv"
+        path.write_text(f"1,2,3,4\n1,2,{cell},4\n1,2,3,4\n")
+        with pytest.raises(DataError, match=r"x\.csv: non-finite .* at row 1, column 2"):
+            load_record(path, fs=256, onset_sample=0, patient_id="p")
+
     def test_onset_must_be_inside(self, tmp_path):
         path = tmp_path / "x.csv"
         np.savetxt(path, np.zeros((5, 4)), delimiter=",")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ def test_every_train_patient_tested_exactly_once():
 
 def test_json_round_trip():
     plan = split_patients(IDS40, seed=9)
-    again = SplitPlan.from_json(plan.to_json())
+    again = SplitPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
     assert again == plan
 
 
